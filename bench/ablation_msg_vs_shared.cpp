@@ -197,20 +197,20 @@ int main(int argc, char** argv) {
       "caches made the RISC cache optimizations impossible.\n",
       max_diff);
 
-  bench::JsonRecord rec;
-  rec.set("bench", "ablation_msg_vs_shared")
-      .set("points", kN)
-      .set("sweeps", kSweeps)
-      .set("threads", 4)
-      .set("repeats", repeats)
-      .set("shared_ms", shared_s * 1e3)
-      .set("msg_ms", msg_s * 1e3)
-      .set("msg_over_shared", shared_s > 0.0 ? msg_s / shared_s : 0.0)
-      .set("sync_events", static_cast<unsigned long long>(sync_events))
-      .set("messages", static_cast<unsigned long long>(stats.total_messages))
-      .set("payload_bytes", static_cast<unsigned long long>(stats.total_bytes))
-      .set("max_rel_diff", max_diff);
-  if (!bench::upsert_json_line(out, "ablation_msg_vs_shared", rec)) {
+  const llp::Json rec = llp::Json::Object{
+      {"bench", "ablation_msg_vs_shared"},
+      {"points", kN},
+      {"sweeps", kSweeps},
+      {"threads", 4},
+      {"repeats", repeats},
+      {"shared_ms", shared_s * 1e3},
+      {"msg_ms", msg_s * 1e3},
+      {"msg_over_shared", shared_s > 0.0 ? msg_s / shared_s : 0.0},
+      {"sync_events", sync_events},
+      {"messages", stats.total_messages},
+      {"payload_bytes", stats.total_bytes},
+      {"max_rel_diff", max_diff}};
+  if (!bench::upsert_json_line(out, rec)) {
     std::fprintf(stderr, "ablation_msg_vs_shared: cannot write %s\n",
                  out.c_str());
     return 1;

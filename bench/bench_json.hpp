@@ -1,87 +1,37 @@
 // Machine-readable results for the self-timed micro benches.
 //
 // Every bench upserts exactly one line into a shared BENCH_micro.json:
-// each line is a complete JSON object carrying a "bench" key, so the file
-// is JSON-lines — trivially parseable a line at a time, and re-running one
-// bench replaces only its own record instead of clobbering the others.
-// CI reads the file to flag overhead drift without scraping stdout.
+// each line is a complete JSON object (an llp::Json, keys sorted) carrying
+// a "bench" key, so the file is JSON-lines — trivially parseable a line at
+// a time, and re-running one bench replaces only its own record instead of
+// clobbering the others. CI reads the file to flag overhead drift without
+// scraping stdout.
 #pragma once
 
-#include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/json.hpp"
+
 namespace bench {
 
-/// Ordered flat JSON object builder (strings, integers, doubles, bools).
-class JsonRecord {
-public:
-  JsonRecord& set(const std::string& key, const std::string& value) {
-    fields_.push_back({key, quote(value)});
-    return *this;
-  }
-  JsonRecord& set(const std::string& key, const char* value) {
-    return set(key, std::string(value));
-  }
-  JsonRecord& set(const std::string& key, double value) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.10g", value);
-    fields_.push_back({key, buf});
-    return *this;
-  }
-  JsonRecord& set(const std::string& key, long long value) {
-    fields_.push_back({key, std::to_string(value)});
-    return *this;
-  }
-  JsonRecord& set(const std::string& key, int value) {
-    return set(key, static_cast<long long>(value));
-  }
-  JsonRecord& set(const std::string& key, unsigned long long value) {
-    fields_.push_back({key, std::to_string(value)});
-    return *this;
-  }
-  JsonRecord& set(const std::string& key, bool value) {
-    fields_.push_back({key, value ? "true" : "false"});
-    return *this;
-  }
-
-  std::string dump() const {
-    std::string out = "{";
-    for (std::size_t i = 0; i < fields_.size(); ++i) {
-      if (i > 0) out += ",";
-      out += quote(fields_[i].first) + ":" + fields_[i].second;
-    }
-    return out + "}";
-  }
-
-private:
-  static std::string quote(const std::string& s) {
-    std::string out = "\"";
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out + "\"";
-  }
-
-  std::vector<std::pair<std::string, std::string>> fields_;
-};
-
-/// Replace the line whose record is for `bench_name` (matched on the
-/// leading "bench" key) in the JSON-lines file at `path`, appending when
-/// absent. Returns false when the file cannot be written.
+/// Replace the line whose "bench" member equals the record's in the
+/// JSON-lines file at `path`, appending when absent. Lines that do not
+/// parse are kept verbatim. Returns false when the file cannot be written.
 inline bool upsert_json_line(const std::string& path,
-                             const std::string& bench_name,
-                             const JsonRecord& record) {
-  const std::string tag = "{\"bench\":\"" + bench_name + "\"";
+                             const llp::Json& record) {
+  const std::string name = record.get_string("bench");
   std::vector<std::string> lines;
   {
     std::ifstream in(path);
     std::string line;
     while (std::getline(in, line)) {
-      if (!line.empty() && line.rfind(tag, 0) != 0) lines.push_back(line);
+      if (line.empty()) continue;
+      const auto old = llp::Json::parse(line);
+      if (!old.has_value() || old->get_string("bench") != name) {
+        lines.push_back(line);
+      }
     }
   }
   lines.push_back(record.dump());

@@ -18,6 +18,7 @@
 //
 //   micro_analyze_overhead [--scale S] [--steps N] [--repeats R] [--out PATH]
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -125,20 +126,20 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "FAIL: f3d step is expected to be race-free\n");
     ok = false;
   }
-  bench::JsonRecord rec;
-  rec.set("bench", "micro_analyze_overhead")
-      .set("scale", scale)
-      .set("steps", steps)
-      .set("repeats", repeats)
-      .set("threads", llp::num_threads())
-      .set("off_ms_per_step", off * 1e3)
-      .set("on_ms_per_step", on * 1e3)
-      .set("ratio", ratio)
-      .set("budget_ratio", 3.0)
-      .set("checked", checked)
-      .set("findings", static_cast<unsigned long long>(findings))
-      .set("ok", ok);
-  if (!bench::upsert_json_line(out, "micro_analyze_overhead", rec)) {
+  const llp::Json rec = llp::Json::Object{
+      {"bench", "micro_analyze_overhead"},
+      {"scale", scale},
+      {"steps", steps},
+      {"repeats", repeats},
+      {"threads", llp::num_threads()},
+      {"off_ms_per_step", off * 1e3},
+      {"on_ms_per_step", on * 1e3},
+      {"ratio", ratio},
+      {"budget_ratio", 3.0},
+      {"checked", static_cast<std::uint64_t>(checked)},
+      {"findings", static_cast<std::uint64_t>(findings)},
+      {"ok", ok}};
+  if (!bench::upsert_json_line(out, rec)) {
     std::fprintf(stderr, "micro_analyze_overhead: cannot write %s\n",
                  out.c_str());
     return 1;

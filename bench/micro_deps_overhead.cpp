@@ -18,6 +18,7 @@
 //
 //   micro_deps_overhead [--scale S] [--steps N] [--repeats R] [--out PATH]
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -158,22 +159,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  bench::JsonRecord rec;
-  rec.set("bench", "micro_deps_overhead")
-      .set("scale", scale)
-      .set("steps", steps)
-      .set("repeats", repeats)
-      .set("threads", llp::num_threads())
-      .set("undeclared_ms_per_step", undeclared * 1e3)
-      .set("declared_ms_per_step", declared * 1e3)
-      .set("steady_ratio", steady_ratio)
-      .set("static_pass_us", pass_s * 1e6)
-      .set("overhead_pct", overhead_pct)
-      .set("budget_pct", 1.0)
-      .set("regions", static_cast<unsigned long long>(regions))
-      .set("not_doall", static_cast<unsigned long long>(not_doall))
-      .set("ok", ok);
-  if (!bench::upsert_json_line(out, "micro_deps_overhead", rec)) {
+  const llp::Json rec = llp::Json::Object{
+      {"bench", "micro_deps_overhead"},
+      {"scale", scale},
+      {"steps", steps},
+      {"repeats", repeats},
+      {"threads", llp::num_threads()},
+      {"undeclared_ms_per_step", undeclared * 1e3},
+      {"declared_ms_per_step", declared * 1e3},
+      {"steady_ratio", steady_ratio},
+      {"static_pass_us", pass_s * 1e6},
+      {"overhead_pct", overhead_pct},
+      {"budget_pct", 1.0},
+      {"regions", static_cast<std::uint64_t>(regions)},
+      {"not_doall", static_cast<std::uint64_t>(not_doall)},
+      {"ok", ok}};
+  if (!bench::upsert_json_line(out, rec)) {
     std::fprintf(stderr, "micro_deps_overhead: cannot write %s\n",
                  out.c_str());
     return 1;

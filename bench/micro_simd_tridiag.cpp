@@ -214,19 +214,19 @@ int main(int argc, char** argv) {
   std::printf("speedup        : %9.2fx  (floor %.2fx)\n", ratio, min_ratio);
   std::printf("max |diff|     : %9.3g\n\n", diff);
 
-  bench::JsonRecord rec;
-  rec.set("bench", "micro_simd_tridiag")
-      .set("kernel", std::string(f3d::tridiag_lanes_kernel()))
-      .set("n", n)
-      .set("systems", systems)
-      .set("passes", passes)
-      .set("repeats", repeats)
-      .set("scalar_us_per_pass", scalar_s * 1e6)
-      .set("simd_us_per_pass", lanes_s * 1e6)
-      .set("speedup", ratio)
-      .set("min_ratio", min_ratio)
-      .set("max_abs_diff", diff);
-  if (!bench::upsert_json_line(out, "micro_simd_tridiag", rec)) {
+  const llp::Json rec = llp::Json::Object{
+      {"bench", "micro_simd_tridiag"},
+      {"kernel", std::string(f3d::tridiag_lanes_kernel())},
+      {"n", n},
+      {"systems", systems},
+      {"passes", passes},
+      {"repeats", repeats},
+      {"scalar_us_per_pass", scalar_s * 1e6},
+      {"simd_us_per_pass", lanes_s * 1e6},
+      {"speedup", ratio},
+      {"min_ratio", min_ratio},
+      {"max_abs_diff", diff}};
+  if (!bench::upsert_json_line(out, rec)) {
     std::fprintf(stderr, "micro_simd_tridiag: cannot write %s\n",
                  out.c_str());
     return 1;

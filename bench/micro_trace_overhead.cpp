@@ -93,21 +93,19 @@ int main(int argc, char** argv) {
   std::printf("\nper-region latency (traced runs):\n%s",
               tracer.summary().c_str());
 
-  bench::JsonRecord rec;
-  rec.set("bench", "micro_trace_overhead")
-      .set("scale", scale)
-      .set("steps", steps)
-      .set("repeats", repeats)
-      .set("threads", llp::num_threads())
-      .set("untraced_ms_per_step", untraced * 1e3)
-      .set("traced_ms_per_step", traced * 1e3)
-      .set("overhead_pct", overhead)
-      .set("target_pct", 2.0)
-      .set("events_accepted",
-           static_cast<unsigned long long>(tracer.accepted()))
-      .set("events_dropped",
-           static_cast<unsigned long long>(tracer.dropped()));
-  if (!bench::upsert_json_line(out, "micro_trace_overhead", rec)) {
+  const llp::Json rec = llp::Json::Object{
+      {"bench", "micro_trace_overhead"},
+      {"scale", scale},
+      {"steps", steps},
+      {"repeats", repeats},
+      {"threads", llp::num_threads()},
+      {"untraced_ms_per_step", untraced * 1e3},
+      {"traced_ms_per_step", traced * 1e3},
+      {"overhead_pct", overhead},
+      {"target_pct", 2.0},
+      {"events_accepted", tracer.accepted()},
+      {"events_dropped", tracer.dropped()}};
+  if (!bench::upsert_json_line(out, rec)) {
     std::fprintf(stderr, "micro_trace_overhead: cannot write %s\n",
                  out.c_str());
     llp::obs::uninstall();

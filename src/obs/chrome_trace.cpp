@@ -9,6 +9,7 @@
 #include "core/runtime.hpp"
 #include "util/error.hpp"
 #include "util/format.hpp"
+#include "util/json.hpp"
 
 namespace llp::obs {
 
@@ -66,27 +67,6 @@ bool ids_match(const Event& b, const Event& e, PairClass c) {
     case PairClass::kNone: return false;
   }
   return false;
-}
-
-std::string escape_json(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += strfmt("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string region_name(RegionId id) {
@@ -231,10 +211,10 @@ ChromeTraceStats write_chrome_trace(const std::vector<Event>& events,
     if (keep[i] == 3) {
       emit(strfmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"i\",\"s\":\"t\","
                   "\"ts\":%s,\"pid\":0,\"tid\":%d,"
-                  "\"args\":{\"region\":\"%s\",\"a\":%lld,\"b\":%lld,"
+                  "\"args\":{\"region\":%s,\"a\":%lld,\"b\":%lld,"
                   "\"lane\":%d}}",
                   event_kind_name(e.kind), event_kind_name(e.kind), ts.c_str(),
-                  tid, escape_json(region_name(e.region)).c_str(),
+                  tid, json_quote(region_name(e.region)).c_str(),
                   static_cast<long long>(e.a), static_cast<long long>(e.b),
                   e.lane));
     } else {
@@ -243,9 +223,9 @@ ChromeTraceStats write_chrome_trace(const std::vector<Event>& events,
       // The end event repeats the begin's name — its identity fields
       // (region/lane/range/step) are identical by the pairing rules, so
       // display_name agrees on both, and `llp_trace check` can pair by name.
-      emit(strfmt("{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s,"
+      emit(strfmt("{\"name\":%s,\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%s,"
                   "\"pid\":0,\"tid\":%d,\"args\":{\"a\":%lld,\"b\":%lld}}",
-                  escape_json(display_name(e, c)).c_str(), category(c),
+                  json_quote(display_name(e, c)).c_str(), category(c),
                   keep[i] == 1 ? "B" : "E", ts.c_str(), tid,
                   static_cast<long long>(e.a), static_cast<long long>(e.b)));
     }

@@ -1,249 +1,18 @@
 #include "obs/trace_check.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <map>
-#include <memory>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "util/format.hpp"
+#include "util/json.hpp"
 
 namespace llp::obs {
 
 namespace {
-
-// ---- minimal JSON DOM -----------------------------------------------------
-// Parses the full JSON grammar we emit (objects, arrays, strings with the
-// common escapes, numbers, true/false/null). Errors carry a byte offset.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  const JsonValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
-public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  bool parse(JsonValue& out, std::string& error) {
-    pos_ = 0;
-    skip_ws();
-    if (!parse_value(out, error)) return false;
-    skip_ws();
-    if (pos_ != text_.size()) {
-      error = strfmt("trailing content at byte %zu", pos_);
-      return false;
-    }
-    return true;
-  }
-
-private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool fail(std::string& error, const std::string& what) {
-    error = strfmt("%s at byte %zu", what.c_str(), pos_);
-    return false;
-  }
-
-  bool parse_value(JsonValue& out, std::string& error) {
-    if (pos_ >= text_.size()) return fail(error, "unexpected end of input");
-    const char c = text_[pos_];
-    switch (c) {
-      case '{': return parse_object(out, error);
-      case '[': return parse_array(out, error);
-      case '"':
-        out.type = JsonValue::Type::kString;
-        return parse_string(out.str, error);
-      case 't':
-      case 'f': return parse_keyword(out, error);
-      case 'n': return parse_keyword(out, error);
-      default: return parse_number(out, error);
-    }
-  }
-
-  bool parse_keyword(JsonValue& out, std::string& error) {
-    auto match = [&](const char* word) {
-      const std::size_t len = std::char_traits<char>::length(word);
-      if (text_.compare(pos_, len, word) != 0) return false;
-      pos_ += len;
-      return true;
-    };
-    if (match("true")) {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = true;
-      return true;
-    }
-    if (match("false")) {
-      out.type = JsonValue::Type::kBool;
-      out.boolean = false;
-      return true;
-    }
-    if (match("null")) {
-      out.type = JsonValue::Type::kNull;
-      return true;
-    }
-    return fail(error, "invalid literal");
-  }
-
-  bool parse_number(JsonValue& out, std::string& error) {
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return fail(error, "invalid value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    out.number = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      pos_ = start;
-      return fail(error, "invalid number");
-    }
-    out.type = JsonValue::Type::kNumber;
-    return true;
-  }
-
-  bool parse_string(std::string& out, std::string& error) {
-    ++pos_;  // opening quote
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return fail(error, "unescaped control character in string");
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) break;
-        const char esc = text_[pos_];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) {
-              return fail(error, "truncated \\u escape");
-            }
-            for (int k = 1; k <= 4; ++k) {
-              if (!std::isxdigit(
-                      static_cast<unsigned char>(text_[pos_ + k]))) {
-                return fail(error, "invalid \\u escape");
-              }
-            }
-            // Validation only — the checker never needs the decoded rune.
-            out += '?';
-            pos_ += 4;
-            break;
-          }
-          default: return fail(error, "invalid escape");
-        }
-        ++pos_;
-      } else {
-        out += c;
-        ++pos_;
-      }
-    }
-    return fail(error, "unterminated string");
-  }
-
-  bool parse_array(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      JsonValue item;
-      if (!parse_value(item, error)) return false;
-      out.array.push_back(std::move(item));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated array");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        skip_ws();
-        continue;
-      }
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or ']'");
-    }
-  }
-
-  bool parse_object(JsonValue& out, std::string& error) {
-    out.type = JsonValue::Type::kObject;
-    ++pos_;  // '{'
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != '"') {
-        return fail(error, "expected object key");
-      }
-      std::string key;
-      if (!parse_string(key, error)) return false;
-      skip_ws();
-      if (pos_ >= text_.size() || text_[pos_] != ':') {
-        return fail(error, "expected ':'");
-      }
-      ++pos_;
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value, error)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (pos_ >= text_.size()) return fail(error, "unterminated object");
-      if (text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return fail(error, "expected ',' or '}'");
-    }
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
 
 TraceCheckResult failure(std::string message) {
   TraceCheckResult r;
@@ -257,17 +26,12 @@ TraceCheckResult failure(std::string message) {
 TraceCheckResult check_chrome_trace(std::istream& in) {
   std::ostringstream buf;
   buf << in.rdbuf();
-  JsonParser parser(buf.str());
-  JsonValue root;
   std::string error;
-  if (!parser.parse(root, error)) {
-    return failure("invalid JSON: " + error);
-  }
-  if (root.type != JsonValue::Type::kObject) {
-    return failure("top level is not an object");
-  }
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || events->type != JsonValue::Type::kArray) {
+  const std::optional<Json> root = Json::parse(buf.str(), &error);
+  if (!root.has_value()) return failure("invalid JSON: " + error);
+  if (!root->is_object()) return failure("top level is not an object");
+  const Json* events = root->find("traceEvents");
+  if (events == nullptr || !events->is_array()) {
     return failure("missing traceEvents array");
   }
 
@@ -275,53 +39,52 @@ TraceCheckResult check_chrome_trace(std::istream& in) {
   std::set<std::string> names;
   // Per (pid, tid) row: stack of open "B" names.
   std::map<std::pair<double, double>, std::vector<std::string>> open;
-  for (std::size_t i = 0; i < events->array.size(); ++i) {
-    const JsonValue& e = events->array[i];
-    if (e.type != JsonValue::Type::kObject) {
+  for (std::size_t i = 0; i < events->array().size(); ++i) {
+    const Json& e = events->array()[i];
+    if (!e.is_object()) {
       return failure(strfmt("traceEvents[%zu] is not an object", i));
     }
-    const JsonValue* name = e.find("name");
-    const JsonValue* ph = e.find("ph");
-    const JsonValue* pid = e.find("pid");
-    const JsonValue* tid = e.find("tid");
-    if (name == nullptr || name->type != JsonValue::Type::kString) {
+    const Json* name = e.find("name");
+    const Json* ph = e.find("ph");
+    const Json* pid = e.find("pid");
+    const Json* tid = e.find("tid");
+    if (name == nullptr || !name->is_string()) {
       return failure(strfmt("traceEvents[%zu]: missing string name", i));
     }
-    if (ph == nullptr || ph->type != JsonValue::Type::kString ||
-        ph->str.size() != 1) {
+    if (ph == nullptr || !ph->is_string() || ph->as_string().size() != 1) {
       return failure(strfmt("traceEvents[%zu]: missing ph", i));
     }
-    if (pid == nullptr || pid->type != JsonValue::Type::kNumber ||
-        tid == nullptr || tid->type != JsonValue::Type::kNumber) {
+    if (pid == nullptr || !pid->is_number() || tid == nullptr ||
+        !tid->is_number()) {
       return failure(strfmt("traceEvents[%zu]: missing pid/tid", i));
     }
-    const char phase = ph->str[0];
+    const char phase = ph->as_string()[0];
     if (phase != 'M') {
-      const JsonValue* ts = e.find("ts");
-      if (ts == nullptr || ts->type != JsonValue::Type::kNumber ||
-          ts->number < 0.0) {
+      const Json* ts = e.find("ts");
+      if (ts == nullptr || !ts->is_number() || ts->as_double() < 0.0) {
         return failure(strfmt("traceEvents[%zu]: missing or negative ts", i));
       }
     }
+    const std::string& label = name->as_string();
     ++r.events;
-    names.insert(name->str);
-    auto& stack = open[{pid->number, tid->number}];
+    names.insert(label);
+    auto& stack = open[{pid->as_double(), tid->as_double()}];
     switch (phase) {
       case 'B':
         ++r.begins;
-        stack.push_back(name->str);
+        stack.push_back(label);
         break;
       case 'E':
         ++r.ends;
         if (stack.empty()) {
           return failure(strfmt(
               "traceEvents[%zu]: E \"%s\" with no open B on its row", i,
-              name->str.c_str()));
+              label.c_str()));
         }
-        if (stack.back() != name->str) {
+        if (stack.back() != label) {
           return failure(strfmt(
               "traceEvents[%zu]: E \"%s\" does not close open B \"%s\"", i,
-              name->str.c_str(), stack.back().c_str()));
+              label.c_str(), stack.back().c_str()));
         }
         stack.pop_back();
         break;

@@ -2,8 +2,8 @@
 // `llp_trace check` CLI and the CI trace job.
 //
 // Checks, in order:
-//   1. the file is one well-formed JSON document (own minimal parser — no
-//      external dependency);
+//   1. the file is one well-formed JSON document (the strict shared codec,
+//      util/json.hpp);
 //   2. the top level is an object with a "traceEvents" array;
 //   3. every entry has name (string), ph (string), ts (number, >= 0 and
 //      non-decreasing is NOT required — Chrome sorts), pid and tid

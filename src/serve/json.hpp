@@ -1,108 +1,11 @@
-// Minimal JSON value for the serve wire protocol.
-//
-// The daemon's protocol is line-delimited JSON objects, so the needs are
-// modest: the six JSON types, strict recursive-descent parsing with a
-// depth limit, and a serializer whose number formatting round-trips
-// doubles exactly (%.17g) — residuals cross the wire as text and the
-// kill-and-resume tests compare them bitwise. Objects keep their keys
-// sorted (std::map), so a value serializes to the same bytes everywhere:
-// event lines are comparable as strings.
+// The serve wire protocol speaks the project's one JSON codec; the alias
+// keeps the protocol code spelled in its own namespace.
 #pragma once
 
-#include <cstdint>
-#include <map>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <variant>
-#include <vector>
+#include "util/json.hpp"
 
 namespace f3d::serve {
 
-class Json {
-public:
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  using Array = std::vector<Json>;
-  using Object = std::map<std::string, Json>;
-
-  Json() : v_(nullptr) {}
-  Json(std::nullptr_t) : v_(nullptr) {}
-  Json(bool b) : v_(b) {}
-  Json(double d) : v_(d) {}
-  Json(int i) : v_(static_cast<double>(i)) {}
-  Json(std::int64_t i) : v_(static_cast<double>(i)) {}
-  Json(std::uint64_t i) : v_(static_cast<double>(i)) {}
-  Json(const char* s) : v_(std::string(s)) {}
-  Json(std::string s) : v_(std::move(s)) {}
-  Json(Array a) : v_(std::move(a)) {}
-  Json(Object o) : v_(std::move(o)) {}
-
-  Type type() const { return static_cast<Type>(v_.index()); }
-  bool is_null() const { return type() == Type::kNull; }
-  bool is_bool() const { return type() == Type::kBool; }
-  bool is_number() const { return type() == Type::kNumber; }
-  bool is_string() const { return type() == Type::kString; }
-  bool is_array() const { return type() == Type::kArray; }
-  bool is_object() const { return type() == Type::kObject; }
-
-  bool as_bool() const { return std::get<bool>(v_); }
-  double as_double() const { return std::get<double>(v_); }
-  std::int64_t as_int() const {
-    return static_cast<std::int64_t>(std::get<double>(v_));
-  }
-  const std::string& as_string() const { return std::get<std::string>(v_); }
-  const Array& array() const { return std::get<Array>(v_); }
-  Array& array() { return std::get<Array>(v_); }
-  const Object& object() const { return std::get<Object>(v_); }
-  Object& object() { return std::get<Object>(v_); }
-
-  /// Object member lookup; nullptr when absent or not an object.
-  const Json* find(const std::string& key) const {
-    if (!is_object()) return nullptr;
-    auto it = object().find(key);
-    return it == object().end() ? nullptr : &it->second;
-  }
-
-  // Typed getters with defaults — missing or wrong-typed members yield the
-  // fallback; protocol handlers validate separately where it matters.
-  std::string get_string(const std::string& key,
-                         const std::string& fallback = {}) const {
-    const Json* j = find(key);
-    return (j != nullptr && j->is_string()) ? j->as_string() : fallback;
-  }
-  double get_double(const std::string& key, double fallback = 0.0) const {
-    const Json* j = find(key);
-    return (j != nullptr && j->is_number()) ? j->as_double() : fallback;
-  }
-  std::int64_t get_int(const std::string& key,
-                       std::int64_t fallback = 0) const {
-    const Json* j = find(key);
-    return (j != nullptr && j->is_number()) ? j->as_int() : fallback;
-  }
-  bool get_bool(const std::string& key, bool fallback = false) const {
-    const Json* j = find(key);
-    return (j != nullptr && j->is_bool()) ? j->as_bool() : fallback;
-  }
-
-  /// Object member insert/update (converts a null value to an object).
-  Json& operator[](const std::string& key) {
-    if (is_null()) v_ = Object{};
-    return std::get<Object>(v_)[key];
-  }
-
-  /// Compact single-line serialization (doubles as %.17g, NaN/Inf as
-  /// null — JSON has no non-finite numbers). Never contains a newline,
-  /// so a dumped value is always a valid wire line.
-  std::string dump() const;
-
-  /// Strict parse of exactly one JSON value (trailing garbage is an
-  /// error). Nesting is capped at 64 levels. On failure returns nullopt
-  /// and describes the problem in *error.
-  static std::optional<Json> parse(std::string_view text,
-                                   std::string* error = nullptr);
-
-private:
-  std::variant<std::nullptr_t, bool, double, std::string, Array, Object> v_;
-};
+using Json = llp::Json;
 
 }  // namespace f3d::serve

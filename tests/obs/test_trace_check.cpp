@@ -39,6 +39,19 @@ TEST(TraceCheck, RejectsMalformedJson) {
   EXPECT_FALSE(check("").ok);
   EXPECT_FALSE(check(R"({"traceEvents":[}]})").ok);
   EXPECT_FALSE(check(R"({"traceEvents":[]} trailing)").ok);
+  // Not JSON numbers: a leading zero, a point with no digit after it.
+  EXPECT_FALSE(check(
+      R"({"traceEvents":[{"name":"r","ph":"i","ts":0,"pid":01,"tid":0}]})").ok);
+  EXPECT_FALSE(check(
+      R"({"traceEvents":[{"name":"r","ph":"i","ts":1.,"pid":0,"tid":0}]})").ok);
+  // Nesting far past the codec's cap fails cleanly instead of overflowing
+  // the stack.
+  const std::string deep = R"({"traceEvents":)" + std::string(200000, '[') +
+                           std::string(200000, ']') + "}";
+  const auto r = check(deep);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("invalid JSON"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("nesting"), std::string::npos) << r.error;
 }
 
 TEST(TraceCheck, RejectsWrongTopLevelShape) {
@@ -104,6 +117,22 @@ TEST(TraceCheck, HandlesEscapesAndNesting) {
       ]})");
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.names, 2u);
+
+  // \u escapes decode to the real characters: names that differ only
+  // inside an escape are different names.
+  const auto distinct = check(
+      R"({"traceEvents":[
+        {"name":"caf\u00e9","ph":"B","ts":0,"pid":0,"tid":0},
+        {"name":"caf\u00e9","ph":"E","ts":1,"pid":0,"tid":0},
+        {"name":"caf\u00e8","ph":"i","ts":2,"pid":0,"tid":0}
+      ]})");
+  EXPECT_TRUE(distinct.ok) << distinct.error;
+  EXPECT_EQ(distinct.names, 2u);
+  EXPECT_FALSE(check(
+      R"({"traceEvents":[
+        {"name":"caf\u00e9","ph":"B","ts":0,"pid":0,"tid":0},
+        {"name":"caf\u00e8","ph":"E","ts":1,"pid":0,"tid":0}
+      ]})").ok);
 }
 
 TEST(TraceCheck, MissingFileFails) {

@@ -89,6 +89,17 @@ TEST(JobSpec, RejectsOutOfRangeAndGarbage) {
   EXPECT_FALSE(spec_error(R"({"priority":-1})").empty());
   EXPECT_FALSE(spec_error(R"({"threads":-2})").empty());
   EXPECT_FALSE(spec_error(R"({"ckpt_every":-1})").empty());
+  // Integers are checked, never truncated: these once ran as n=8 / steps=1.
+  // The error names the field.
+  EXPECT_EQ(spec_error(R"({"case":"cube","n":4294967304,"steps":2})")
+                .rfind("n must be an integer", 0),
+            0u);
+  EXPECT_EQ(spec_error(R"({"case":"cube","n":8.9,"steps":2})")
+                .rfind("n must be an integer", 0),
+            0u);
+  EXPECT_EQ(spec_error(R"({"case":"cube","n":8,"steps":4294967297})")
+                .rfind("steps must be an integer", 0),
+            0u);
 }
 
 TEST(JobSpec, FingerprintSeparatesDifferentPhysics) {

@@ -428,6 +428,14 @@ TEST(ServeProtocol, SubmitStatusWaitAndDoubleCancel) {
   EXPECT_TRUE(st.get_bool("ok")) << st.dump();
   EXPECT_EQ(st.get_int("job"), id);
 
+  // A job id that is no integer is refused by name, not cast.
+  ASSERT_TRUE(write_line(c.fd(), R"({"op":"status","job":1e300})"));
+  std::string err;
+  const auto huge = c.read_json_line(&err);
+  ASSERT_TRUE(huge.has_value()) << err;
+  EXPECT_FALSE(huge->get_bool("ok", true));
+  EXPECT_EQ(huge->get_string("error").rfind("job ", 0), 0u) << huge->dump();
+
   Json cancel;
   cancel["op"] = "cancel";
   cancel["job"] = static_cast<double>(id);
@@ -513,6 +521,14 @@ TEST(ServeProtocol, EventStreamEndsWithDoneOrEndMarker) {
   bad["job"] = 9999;
   const Json refused = roundtrip(c, bad);
   EXPECT_FALSE(refused.get_bool("ok", true));
+
+  // A cursor that is no integer is refused by name.
+  bad["job"] = static_cast<double>(id);
+  bad["from"] = 1.5;
+  const Json fractional = roundtrip(c, bad);
+  EXPECT_FALSE(fractional.get_bool("ok", true));
+  EXPECT_EQ(fractional.get_string("error").rfind("from ", 0), 0u)
+      << fractional.dump();
 }
 
 TEST(ServeProtocol, ShutdownOpFlagsTheDaemonLoop) {
