@@ -13,9 +13,16 @@
 // median of the per-round ratios: a batch lasts ~30 ms at the smoke-test
 // size, and on a shared host the speed of the whole machine shifts by
 // 30% for tens of milliseconds at a time, so a single pair of batches is
-// decided by which one such a shift happens to hit. Concurrency rows are
-// reported for scaling context (on a shared CI box they mostly show the
-// fair-share split working, not a speedup).
+// decided by which one such a shift happens to hit. Both arms of those
+// rounds also run on one CPU: the calling thread is pinned to the CPU it
+// is on, and the server's threads inherit that mask when they start. On a
+// shared host the CPUs differ in speed by up to 40% for seconds at a
+// time (the same 8-step job took 2.6 ms on one and 3.7 ms on another in
+// one run), so unpinned the ratio mostly said which CPU each arm landed
+// on. The serving costs — hand-offs, scheduler, event log, per-job
+// runtime — all still run inside the serve arm. Concurrency rows run
+// unpinned and are reported for scaling context (on a shared CI box they
+// mostly show the fair-share split working, not a speedup).
 //
 // Results land in BENCH_serve.json (override with --out PATH); exits 1
 // when the gate is breached, so the smoke test doubles as the regression
@@ -30,6 +37,8 @@
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include <sched.h>
 
 #include "core/runtime.hpp"
 #include "f3d/solver.hpp"
@@ -119,6 +128,31 @@ double serve_jobs_per_s(const f3d::serve::JobSpec& spec, int jobs,
   return rate;
 }
 
+// Pins the calling thread to the CPU it is running on for its lifetime,
+// then restores the previous mask. Threads started meanwhile inherit the
+// pin. When the kernel refuses, the rounds run unpinned.
+class PinToCurrentCpu {
+public:
+  PinToCurrentCpu() {
+    const int cpu = sched_getcpu();
+    if (cpu < 0 || sched_getaffinity(0, sizeof(saved_), &saved_) != 0) return;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    pinned_ = sched_setaffinity(0, sizeof(one), &one) == 0;
+  }
+  ~PinToCurrentCpu() {
+    if (pinned_) sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  PinToCurrentCpu(const PinToCurrentCpu&) = delete;
+  PinToCurrentCpu& operator=(const PinToCurrentCpu&) = delete;
+  bool pinned() const { return pinned_; }
+
+private:
+  cpu_set_t saved_{};
+  bool pinned_ = false;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,14 +193,19 @@ int main(int argc, char** argv) {
   std::vector<double> base_rates;
   std::vector<double> c1_rates;
   std::vector<double> ratios;
-  for (int r = 0; r < kRounds; ++r) {
-    base_rates.push_back(baseline_jobs_per_s(spec, jobs));
-    c1_rates.push_back(serve_jobs_per_s(spec, jobs, 1));
-    ratios.push_back(c1_rates.back() / base_rates.back());
+  bool pinned = false;
+  {
+    const PinToCurrentCpu pin;
+    pinned = pin.pinned();
+    for (int r = 0; r < kRounds; ++r) {
+      base_rates.push_back(baseline_jobs_per_s(spec, jobs));
+      c1_rates.push_back(serve_jobs_per_s(spec, jobs, 1));
+      ratios.push_back(c1_rates.back() / base_rates.back());
+    }
   }
   const double base = median(base_rates);
-  std::printf("  %-14s %8.2f jobs/s (median of %d rounds)\n", "baseline",
-              base, kRounds);
+  std::printf("  %-14s %8.2f jobs/s (median of %d rounds%s)\n", "baseline",
+              base, kRounds, pinned ? ", one CPU" : ", unpinned");
   const double c1 = median(c1_rates);
   std::printf("  %-14s %8.2f jobs/s (median of %d rounds)\n", "serve c=1",
               c1, kRounds);
@@ -191,6 +230,7 @@ int main(int argc, char** argv) {
   j["serve_c2_jobs_per_s"] = c2;
   j["serve_c4_jobs_per_s"] = c4;
   j["rounds"] = kRounds;
+  j["pinned"] = pinned;
   j["c1_ratio"] = ratio;
   j["gate"] = 0.9;
   std::FILE* f = std::fopen(out.c_str(), "w");

@@ -33,11 +33,15 @@ inline double pressure(const double q[kNumVars]) {
   return (kGamma - 1.0) * (q[4] - ke);
 }
 
-/// Sound speed from a conservative state.
-inline double sound_speed(const double q[kNumVars]) {
-  const double p = pressure(q);
+/// Sound speed from a conservative state and its pressure p = pressure(q).
+inline double sound_speed(const double q[kNumVars], double p) {
   LLP_ASSERT(p > 0.0 && q[0] > 0.0);
   return std::sqrt(kGamma * p / q[0]);
+}
+
+/// Sound speed from a conservative state.
+inline double sound_speed(const double q[kNumVars]) {
+  return sound_speed(q, pressure(q));
 }
 
 /// Conservative -> primitive.
@@ -83,17 +87,22 @@ struct FreeStream {
   void conservative(double q[kNumVars]) const { to_conservative(prim(), q); }
 };
 
-/// Inviscid flux vector in direction dir (0=x, 1=y, 2=z).
-inline void flux(int dir, const double q[kNumVars], double f[kNumVars]) {
-  const double rho = q[0];
-  const double vel = q[1 + dir] / rho;  // normal velocity
-  const double p = pressure(q);
+/// Inviscid flux vector in direction dir (0=x, 1=y, 2=z) of a state whose
+/// pressure p = pressure(q) and normal velocity vel = q[1+dir]/q[0] are
+/// already known.
+inline void flux(int dir, const double q[kNumVars], double p, double vel,
+                 double f[kNumVars]) {
   f[0] = q[1 + dir];
   f[1] = q[1] * vel;
   f[2] = q[2] * vel;
   f[3] = q[3] * vel;
   f[1 + dir] += p;
   f[4] = (q[4] + p) * vel;
+}
+
+/// Inviscid flux vector in direction dir (0=x, 1=y, 2=z).
+inline void flux(int dir, const double q[kNumVars], double f[kNumVars]) {
+  flux(dir, q, pressure(q), q[1 + dir] / q[0], f);
 }
 
 /// Spectral radius of the flux Jacobian in direction dir: |u_n| + c.

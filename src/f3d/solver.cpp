@@ -180,6 +180,14 @@ void Solver::step() {
 
   double sumsq = 0.0;
   std::size_t total_points = 0;
+  // Every lane's rhs line buffers, grown here on the calling thread: a
+  // buffer first allocated inside a worker would land in that thread's
+  // malloc arena and stay resident there.
+  const std::size_t lanes = static_cast<std::size_t>(rt_->num_threads());
+  if (rhs_ws_.size() < lanes) rhs_ws_.resize(lanes);
+  for (int z = 0; z < grid_.num_zones(); ++z) {
+    for (RhsWorkspace& ws : rhs_ws_) ws.ensure(grid_.zone(z).jmax());
+  }
 
   for (int z = 0; z < grid_.num_zones(); ++z) {
     Zone& zone = grid_.zone(z);
@@ -216,7 +224,10 @@ void Solver::step() {
                 static_cast<std::int64_t>(
                     rhs.index(0, 0, 0, lg + Zone::kGhost + 1)));
           }
-          compute_rhs_plane(zone, static_cast<int>(l), dt_, config_.rhs, rhs);
+          RhsWorkspace& ws = rhs_ws_[static_cast<std::size_t>(ctx.lane())];
+          compute_rhs_plane(zone, static_cast<int>(l), dt_, config_.rhs, rhs,
+                            ws);
+          ctx.note_scratch(&ws, ws.bytes());
           acc += rhs_plane_sumsq(zone, static_cast<int>(l), rhs);
         },
         llp::ForOptions::auto_tuned(rg.rhs));

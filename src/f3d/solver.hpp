@@ -202,6 +202,7 @@ private:
 
   std::unique_ptr<SweepEngine> engine_;
   std::vector<llp::Array4D<double>> rhs_;  // per-zone padded work array
+  std::vector<RhsWorkspace> rhs_ws_;       // rhs line buffers, one per lane
 
   struct ZoneRegions {
     llp::RegionId rhs, sweep_j, sweep_k, sweep_l, update;

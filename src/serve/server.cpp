@@ -74,7 +74,10 @@ void Server::start() {
       throw llp::Error("serve: " + err);
     }
   }
-  started_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    started_ = true;
+  }
   scheduler_ = std::thread(&Server::scheduler_loop, this);
   if (listen_sock_.valid()) {
     acceptor_ = std::thread(&Server::accept_loop, this);
@@ -94,6 +97,7 @@ void Server::stop() {
       if (job->state == JobState::kRunning) job->preempt_requested = true;
     }
     cv_.notify_all();
+    events_cv_.notify_all();
   }
   if (acceptor_.joinable()) acceptor_.join();
   for (auto& s : sessions_) s->sock.shutdown_both();
@@ -166,7 +170,9 @@ std::uint64_t Server::submit(const JobSpec& spec, std::string* error) {
   e["priority"] = spec.priority;
   push_event_locked(*raw, e.dump());
   persist_job_locked(*raw);
-  cv_.notify_all();
+  // Dispatch here rather than through the scheduler thread: the job's
+  // runner starts one hand-off sooner.
+  if (started_) dispatch_locked();
   return raw->id;
 }
 
@@ -296,7 +302,7 @@ void Server::push_event_locked(Job& job, std::string line) {
                      job.events.begin() + kEventDropBlock);
     job.events_base += kEventDropBlock;
   }
-  cv_.notify_all();
+  events_cv_.notify_all();
 }
 
 void Server::persist_job_locked(Job& job) {
@@ -367,6 +373,7 @@ void Server::dispatch_locked() {
                                                 job->steps_done,
                                                 job->residual));
         persist_job_locked(*job);
+        cv_.notify_all();
       }
     }
 
@@ -638,6 +645,9 @@ void Server::runner_loop(Job* job) {
     }
     persist_job_locked(*job);
     job->runner_done = true;
+    // The freed slot goes to the next queued job now; the notify wakes
+    // the scheduler to join this thread, and the waiters.
+    if (!stopping_) dispatch_locked();
     cv_.notify_all();
   }
 }
@@ -832,7 +842,7 @@ bool Server::handle_events(int fd, const Json& req) {
       }
       terminal = is_terminal(job->state);
       if (batch.empty() && !terminal && follow && !stopping_) {
-        cv_.wait_for(lock, 200ms);
+        events_cv_.wait_for(lock, 200ms);
         continue;
       }
     }

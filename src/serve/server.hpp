@@ -16,9 +16,12 @@
 // from its newest intact checkpoint generation after a SIGKILL.
 //
 // Concurrency: one mutex guards the job table and every Job field; one
-// condition variable wakes the scheduler, event streams, and waiters.
-// Runner threads only touch solver state they own plus Job fields under
-// the lock — the layout is deliberately coarse so TSan can vouch for it.
+// condition variable wakes the scheduler and the waiters on job state,
+// and a second wakes event streams, so a per-step event wakes only those.
+// submit() and a finishing runner dispatch themselves, so a job's runner
+// starts without a hand-off through the scheduler thread. Runner threads
+// only touch solver state they own plus Job fields under the lock — the
+// layout is deliberately coarse so TSan can vouch for it.
 #pragma once
 
 #include <condition_variable>
@@ -167,7 +170,8 @@ private:
 
   ServerConfig cfg_;
   std::mutex mu_;
-  std::condition_variable cv_;
+  std::condition_variable cv_;         ///< job state, cancel, stop
+  std::condition_variable events_cv_;  ///< a job's event log grew
   std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
   std::uint64_t next_id_ = 1;
   std::uint64_t next_seq_ = 1;

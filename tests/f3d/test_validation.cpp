@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "f3d/cases.hpp"
+#include "f3d/solver.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -113,6 +116,42 @@ TEST(ResidualDecreasing, NeedsEnoughSteps) {
   f3d::RunHistory h;
   for (int i = 0; i < 4; ++i) h.record(1.0, 0);
   EXPECT_THROW(f3d::residual_decreasing(h), llp::Error);
+}
+
+// Solutions pinned to the bit. The risc and vector engines' arithmetic is
+// plain IEEE double with no fused multiply-add, so the x86-64-v3 build and
+// the forced-scalar simd build must reproduce these digests exactly (the
+// simd engine is left out: its lane kernel fuses by design). The pins are
+// the `solution checksum:` line of
+//   f3d_run --case 1m --scale 0.3 --steps 5 --pulse 0.1 --engine E
+//   f3d_run --case cube --n 12 --steps 10 --wall --pulse 0.05
+//           --viscous 1000 --engine E
+std::uint64_t pinned_run(const f3d::CaseSpec& spec, bool wall, double pulse,
+                         double reynolds, int steps, f3d::EngineKind engine) {
+  auto grid = f3d::build_grid(spec);
+  if (wall) f3d::add_kmin_wall(grid);
+  f3d::add_gaussian_pulse(grid, pulse, 2.5);
+  f3d::SolverConfig cfg;
+  cfg.freestream = spec.freestream;
+  cfg.engine = engine;
+  if (reynolds > 0.0) {
+    cfg.rhs.viscous.enabled = true;
+    cfg.rhs.viscous.reynolds = reynolds;
+  }
+  f3d::Solver solver(grid, cfg);
+  solver.run(steps);
+  return f3d::checksum(grid);
+}
+
+TEST(Checksum, PinnedAcrossInstructionSets) {
+  for (const auto engine :
+       {f3d::EngineKind::kPencilScalar, f3d::EngineKind::kPlaneVector}) {
+    EXPECT_EQ(pinned_run(f3d::paper_1m_case(0.3), false, 0.1, 0.0, 5, engine),
+              0x530d455d0fff105fULL);
+    EXPECT_EQ(pinned_run(f3d::wall_compression_case(12), true, 0.05, 1000.0,
+                         10, engine),
+              0x81f027173537b052ULL);
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // watch the predicted scaling improve with each enabled loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -97,17 +99,28 @@ TEST(Incremental, ProfileIdentifiesSweepsAsHottest) {
   f3d::SolverConfig cfg;
   cfg.freestream = spec.freestream;
   cfg.region_prefix = "inc.prof";
-  llp::regions().reset_stats();
   f3d::Solver s(grid, cfg);
-  s.run(2);
+  // Each region's fastest of several 2-step solves: at this toy scale a
+  // region runs for microseconds, and one preempted call would otherwise
+  // crown whichever region it landed in.
+  std::map<std::string, double> fastest;
+  for (int rep = 0; rep < 5; ++rep) {
+    llp::regions().reset_stats();
+    s.run(2);
+    for (const auto& r : llp::regions().snapshot()) {
+      if (r.name.rfind("inc.prof.", 0) != 0) continue;
+      const auto [it, fresh] = fastest.emplace(r.name, r.seconds);
+      if (!fresh) it->second = std::min(it->second, r.seconds);
+    }
+  }
   // The flat profile's biggest entries should be sweep or rhs kernels of
   // the biggest zones — not bc/exchange.
   double hottest_time = 0.0;
   std::string hottest;
-  for (const auto& r : llp::regions().snapshot()) {
-    if (r.name.rfind("inc.prof.", 0) == 0 && r.seconds > hottest_time) {
-      hottest_time = r.seconds;
-      hottest = r.name;
+  for (const auto& [name, seconds] : fastest) {
+    if (seconds > hottest_time) {
+      hottest_time = seconds;
+      hottest = name;
     }
   }
   EXPECT_TRUE(hottest.find("sweep") != std::string::npos ||
