@@ -3,8 +3,10 @@
 // just re-exports it into the bench namespace plus a heading helper.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "f3d/case_trace.hpp"
 #include "f3d/cases.hpp"
@@ -18,6 +20,13 @@ inline llp::model::WorkTrace measure_full_size_trace(
     const f3d::CaseSpec& scaled, const f3d::CaseSpec& full,
     const std::string& prefix, int steps = 3) {
   return f3d::measure_full_size_trace(scaled, full, prefix, steps);
+}
+
+/// Median of a sample (mean of the middle two for an even count).
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t h = v.size() / 2;
+  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
 /// Print a heading in a uniform style.

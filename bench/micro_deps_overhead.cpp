@@ -11,7 +11,10 @@
 //     consults the registry per iteration (the tuner caches legality per
 //     region, the logger only on a finding), so the ratio is pure noise
 //     around 1.0; a loose sanity bound guards against someone ever putting
-//     a registry lookup on the iteration path.
+//     a registry lookup on the iteration path. The two runs of each of R
+//     pairs are adjacent, their order alternating pair to pair, and the
+//     gate reads the median of the per-pair ratios: host drift between
+//     two halves of the measurement cannot land whole in the ratio.
 //
 // Exits nonzero when either bound is violated; results land as one JSON
 // line in BENCH_micro.json next to the other micro benches.
@@ -45,14 +48,29 @@ double run_steps(const f3d::CaseSpec& spec, int steps, bool declared) {
   return dt.count() / steps;
 }
 
-double best_of(const f3d::CaseSpec& spec, int steps, int repeats,
-               bool declared) {
-  double best = 1e300;
-  for (int r = 0; r < repeats; ++r) {
-    const double s = run_steps(spec, steps, declared);
-    if (s < best) best = s;
+struct SteadyState {
+  double undeclared = 0.0;  // median s/step
+  double declared = 0.0;    // median s/step
+  double ratio = 0.0;       // median of per-pair declared/undeclared
+};
+
+SteadyState steady_state(const f3d::CaseSpec& spec, int steps, int pairs) {
+  std::vector<double> undeclared, declared, ratios;
+  for (int r = 0; r < pairs; ++r) {
+    double u = 0.0, d = 0.0;
+    if (r % 2 == 0) {
+      u = run_steps(spec, steps, /*declared=*/false);
+      d = run_steps(spec, steps, /*declared=*/true);
+    } else {
+      d = run_steps(spec, steps, /*declared=*/true);
+      u = run_steps(spec, steps, /*declared=*/false);
+    }
+    undeclared.push_back(u);
+    declared.push_back(d);
+    ratios.push_back(d / u);
   }
-  return best;
+  return {bench::median(undeclared), bench::median(declared),
+          bench::median(ratios)};
 }
 
 /// Best-of time of the whole static pass: derive + declare every signature
@@ -80,7 +98,7 @@ double time_static_pass(const f3d::MultiZoneGrid& grid,
 int main(int argc, char** argv) {
   double scale = 0.12;
   int steps = 3;
-  int repeats = 3;
+  int repeats = 11;
   std::string out = "BENCH_micro.json";
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -103,16 +121,17 @@ int main(int argc, char** argv) {
 
   bench::heading(llp::strfmt(
       "Static dependence pass overhead — fig2 case at scale %.2f, %d steps, "
-      "best of %d", scale, steps, repeats));
+      "%d interleaved pairs", scale, steps, repeats));
   const f3d::CaseSpec spec = f3d::paper_1m_case(scale);
   std::printf("grid: %zu points, %d threads\n\n", spec.total_points(),
               llp::num_threads());
 
   (void)run_steps(spec, 1, /*declared=*/true);  // warm-up, off the books
 
-  const double undeclared = best_of(spec, steps, repeats, /*declared=*/false);
-  const double declared = best_of(spec, steps, repeats, /*declared=*/true);
-  const double steady_ratio = declared / undeclared;
+  const SteadyState steady = steady_state(spec, steps, repeats);
+  const double undeclared = steady.undeclared;
+  const double declared = steady.declared;
+  const double steady_ratio = steady.ratio;
 
   auto grid = f3d::build_grid(spec);
   f3d::SolverConfig cfg;
@@ -127,7 +146,8 @@ int main(int argc, char** argv) {
       100.0 * pass_s / (static_cast<double>(steps) * declared);
 
   std::printf("undeclared   : %9.3f ms/step\n", undeclared * 1e3);
-  std::printf("declared     : %9.3f ms/step  (ratio %.3f, sanity < 1.10)\n",
+  std::printf("declared     : %9.3f ms/step  (median pair ratio %.3f, "
+              "sanity < 1.10)\n",
               declared * 1e3, steady_ratio);
   std::printf("static pass  : %9.3f us for %zu region(s)\n", pass_s * 1e6,
               regions);

@@ -40,6 +40,7 @@
 
 #include <sched.h>
 
+#include "common.hpp"
 #include "core/runtime.hpp"
 #include "f3d/solver.hpp"
 #include "serve/job.hpp"
@@ -54,12 +55,6 @@ constexpr int kRounds = 11;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t h = v.size() / 2;
-  return v.size() % 2 == 1 ? v[h] : 0.5 * (v[h - 1] + v[h]);
 }
 
 f3d::serve::JobSpec bench_spec(int n, int steps) {
@@ -203,10 +198,10 @@ int main(int argc, char** argv) {
       ratios.push_back(c1_rates.back() / base_rates.back());
     }
   }
-  const double base = median(base_rates);
+  const double base = bench::median(base_rates);
   std::printf("  %-14s %8.2f jobs/s (median of %d rounds%s)\n", "baseline",
               base, kRounds, pinned ? ", one CPU" : ", unpinned");
-  const double c1 = median(c1_rates);
+  const double c1 = bench::median(c1_rates);
   std::printf("  %-14s %8.2f jobs/s (median of %d rounds)\n", "serve c=1",
               c1, kRounds);
   const double c2 = serve_jobs_per_s(spec, jobs, 2);
@@ -214,7 +209,7 @@ int main(int argc, char** argv) {
   const double c4 = serve_jobs_per_s(spec, jobs, 4);
   std::printf("  %-14s %8.2f jobs/s\n", "serve c=4", c4);
 
-  const double ratio = median(ratios);
+  const double ratio = bench::median(ratios);
   std::printf("  serve/baseline ratio at c=1: %.3f (median of %d rounds; "
               "gate: >= 0.9)\n",
               ratio, kRounds);

@@ -11,6 +11,7 @@
 #include "tune/candidates.hpp"
 #include "tune/tuner.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace f3d {
 
@@ -45,15 +46,20 @@ void fill_probe_rhs(llp::Array4D<double>& rhs) {
   }
 }
 
-std::string engine_key(const MultiZoneGrid& grid, const SolverConfig& config,
-                       std::int64_t trips) {
+// The decision is only reused for the probed zone's exact shape: line
+// lengths, not just the point count, decide which engine wins (pencil
+// batches fill lanes across the transverse direction, plane buffers scale
+// with the plane).
+std::string engine_key(const SolverConfig& config, const Zone& zone) {
   const std::string region =
       "engine." +
       (config.region_prefix.empty() ? std::string("select")
-                                    : config.region_prefix);
+                                    : config.region_prefix) +
+      llp::strfmt(".%dx%dx%d", zone.jmax(), zone.kmax(), zone.lmax());
   const int threads = llp::Runtime::current().num_threads();
-  return llp::tune::make_key(region, trips,
-                             llp::tune::machine_fingerprint(threads));
+  return llp::tune::make_key(
+      region, static_cast<std::int64_t>(zone.interior_points()),
+      llp::tune::machine_fingerprint(threads));
 }
 
 }  // namespace
@@ -74,8 +80,7 @@ EngineChoice select_engine(const MultiZoneGrid& grid,
     }
   }
   const Zone& zone = grid.zone(biggest);
-  const auto trips = static_cast<std::int64_t>(zone.interior_points());
-  const std::string key = engine_key(grid, config, trips);
+  const std::string key = engine_key(config, zone);
 
   // A persisted decision with a parsable engine column short-circuits the
   // probe (the loop tuner's load -> identical-decisions contract).

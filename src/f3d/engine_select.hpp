@@ -5,9 +5,10 @@
 // loops exist at all. select_engine() closes it the same way the loop
 // tuner closes the others: measure each registered engine on the actual
 // grid (one J-sweep over the largest zone, best of `repeats`), commit the
-// winner to the TuningDb under an "engine.<prefix>" key, and short-circuit
-// the probe entirely on the next run with a matching key — same machine
-// fingerprint, same trip bucket, decision reused verbatim.
+// winner to the TuningDb under an "engine.<prefix>.<J>x<K>x<L>" key (the
+// probed zone's shape), and short-circuit the probe entirely on the next
+// run with a matching key — same machine fingerprint, same zone shape,
+// decision reused verbatim.
 #pragma once
 
 #include "f3d/engine.hpp"

@@ -1,26 +1,73 @@
 #include "f3d/sweep_common.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "f3d/eigen.hpp"
+#include "f3d/sweep_batch.hpp"
 #include "f3d/tridiag.hpp"
-#include "simd/batch.hpp"
+#include "simd/detect.hpp"
 #include "util/error.hpp"
 
 namespace f3d {
+
+namespace {
+
+/// Where one line of a dir sweep starts in the zone's padded layout, and
+/// the element stride between consecutive cells along it. Q and the rhs
+/// work array share that layout, so one offset and stride serve both.
+struct LineWalk {
+  std::size_t base = 0;
+  std::size_t step = 0;
+};
+
+LineWalk line_walk(const Zone& zone, int dir, int t0, int t1) {
+  const int ng = Zone::kGhost;
+  int j0, k0, l0;
+  switch (dir) {
+    case 0: j0 = 0; k0 = t0; l0 = t1; break;
+    case 1: j0 = t0; k0 = 0; l0 = t1; break;
+    default: j0 = t0; k0 = t1; l0 = 0; break;
+  }
+  const llp::Array4D<double>& qarr = zone.storage();
+  LineWalk lw;
+  lw.base = qarr.index(0, j0 + ng, k0 + ng, l0 + ng);
+  lw.step = qarr.index(0, j0 + ng + (dir == 0), k0 + ng + (dir == 1),
+                       l0 + ng + (dir == 2)) -
+            lw.base;
+  return lw;
+}
+
+// The rhs work array must share the zone's padded layout: line_walk's
+// offset and stride serve both.
+void check_work_layout([[maybe_unused]] const Zone& zone,
+                       [[maybe_unused]] const llp::Array4D<double>& rhs) {
+  [[maybe_unused]] constexpr int ng = Zone::kGhost;
+  LLP_ASSERT(rhs.nvar() == kNumVars && rhs.jmax() == zone.jmax() + 2 * ng &&
+             rhs.kmax() == zone.kmax() + 2 * ng &&
+             rhs.lmax() == zone.lmax() + 2 * ng);
+}
+
+}  // namespace
+
+namespace detail {
+
+void check_gathered_state([[maybe_unused]] double p,
+                          [[maybe_unused]] double rho) {
+  LLP_ASSERT(p > 0.0 && rho > 0.0);
+}
+
+}  // namespace detail
 
 void SimdBatchWorkspace::ensure(int n) {
   if (n <= capacity) return;
   constexpr std::size_t W = kTridiagLaneWidth;
   const std::size_t nn = static_cast<std::size_t>(n);
-  q.resize(W * 5 * nn);
-  r.resize(W * 5 * nn);
-  w.resize(W * 5 * nn);
-  lam.resize(W * 5 * nn);
+  state.resize(5 * nn * W);
+  w.resize(5 * nn * W);
   a.resize(nn * W);
   b.resize(nn * W);
   c.resize(nn * W);
-  d.resize(nn * W);
   capacity = n;
 }
 
@@ -68,39 +115,16 @@ void solve_pencil(const Zone& zone, int dir, int t0, int t1, double dt,
   const SweepShape shape = sweep_shape(zone, dir);
   const int n = shape.line_n;
   ws.ensure(n);
-  const int ng = Zone::kGhost;
-  // The rhs work array must share the zone's padded layout: the line walk
-  // below uses one stride for both.
-  LLP_ASSERT(rhs.nvar() == kNumVars && rhs.jmax() == zone.jmax() + 2 * ng &&
-             rhs.kmax() == zone.kmax() + 2 * ng &&
-             rhs.lmax() == zone.lmax() + 2 * ng);
+  check_work_layout(zone, rhs);
 
   const double h[3] = {zone.dx(), zone.dy(), zone.dz()};
   const double inv_h = 1.0 / h[dir];
   const double hd = 0.5 * dt * inv_h;  // central-difference weight
 
-  // First cell of the line and the element stride between consecutive
-  // cells along the sweep direction (both Q and the rhs array share the
-  // padded Fortran layout, so one stride serves both).
-  int j0, k0, l0;
-  switch (dir) {
-    case 0: j0 = 0; k0 = t0; l0 = t1; break;
-    case 1: j0 = t0; k0 = 0; l0 = t1; break;
-    default: j0 = t0; k0 = t1; l0 = 0; break;
-  }
-  const llp::Array4D<double>& qarr = zone.storage();
-  const std::size_t base =
-      qarr.index(0, j0 + ng, k0 + ng, l0 + ng);
-  std::size_t step = 0;
-  switch (dir) {
-    case 0: step = qarr.index(0, j0 + ng + 1, k0 + ng, l0 + ng) - base; break;
-    case 1: step = qarr.index(0, j0 + ng, k0 + ng + 1, l0 + ng) - base; break;
-    default:
-      step = qarr.index(0, j0 + ng, k0 + ng, l0 + ng + 1) - base;
-      break;
-  }
-  const double* qline = qarr.data() + base;
-  double* rline = rhs.data() + base;
+  const LineWalk lw = line_walk(zone, dir, t0, t1);
+  const std::size_t step = lw.step;
+  const double* qline = zone.storage().data() + lw.base;
+  double* rline = rhs.data() + lw.base;
 
   // Gather state + rhs, project to characteristic variables.
   for (int i = 0; i < n; ++i) {
@@ -189,120 +213,38 @@ void solve_pencil_batch(const Zone& zone, int dir, int outer, int inner0,
   const SweepShape shape = sweep_shape(zone, dir);
   const int n = shape.line_n;
   ws.ensure(n);
-  const int ng = Zone::kGhost;
-  LLP_ASSERT(rhs.nvar() == kNumVars && rhs.jmax() == zone.jmax() + 2 * ng &&
-             rhs.kmax() == zone.kmax() + 2 * ng &&
-             rhs.lmax() == zone.lmax() + 2 * ng);
+  check_work_layout(zone, rhs);
 
   const double h[3] = {zone.dx(), zone.dy(), zone.dz()};
   const double inv_h = 1.0 / h[dir];
-  const double hu = dt * inv_h;  // first-order upwind weight
 
-  const llp::Array4D<double>& qarr = zone.storage();
-  const std::size_t n5 = 5 * static_cast<std::size_t>(n);
-
-  // Gather each pencil exactly as solve_pencil does — same line walk, same
-  // per-point projection — into the workspace's per-pencil slices. The
-  // task coordinates follow the engines' convention: t0 = inner index,
-  // t1 = outer index (see sweeps.cpp).
-  double* rline[W] = {};
-  std::size_t step = 0;
-  for (int p = 0; p < count; ++p) {
-    const int t0 = inner0 + p;
-    const int t1 = outer;
-    int j0, k0, l0;
-    switch (dir) {
-      case 0: j0 = 0; k0 = t0; l0 = t1; break;
-      case 1: j0 = t0; k0 = 0; l0 = t1; break;
-      default: j0 = t0; k0 = t1; l0 = 0; break;
-    }
-    const std::size_t base = qarr.index(0, j0 + ng, k0 + ng, l0 + ng);
-    if (p == 0) {
-      switch (dir) {
-        case 0:
-          step = qarr.index(0, j0 + ng + 1, k0 + ng, l0 + ng) - base;
-          break;
-        case 1:
-          step = qarr.index(0, j0 + ng, k0 + ng + 1, l0 + ng) - base;
-          break;
-        default:
-          step = qarr.index(0, j0 + ng, k0 + ng, l0 + ng + 1) - base;
-          break;
-      }
-    }
-    const double* qline = qarr.data() + base;
-    rline[p] = rhs.data() + base;
-    const std::size_t off = static_cast<std::size_t>(p) * n5;
-    for (int i = 0; i < n; ++i) {
-      const std::size_t ii = static_cast<std::size_t>(i);
-      const double* qp = qline + ii * step;
-      const double* rp = rline[p] + ii * step;
-      double* qi = &ws.q[off + 5 * ii];
-      double* ri = &ws.r[off + 5 * ii];
-      for (int m = 0; m < kNumVars; ++m) {
-        qi[m] = qp[m];
-        ri[m] = rp[m];
-      }
-      eigenvalues(dir, qi, &ws.lam[off + 5 * ii]);
-      apply_left(dir, qi, ri, &ws.w[off + 5 * ii]);
-    }
+  // Task coordinates follow the engines' convention: t0 = inner index,
+  // t1 = outer index (see sweeps.cpp). Padding lanes replicate the last
+  // real pencil, so the kernel always runs well-conditioned full batches.
+  detail::BatchLines<W> lines;
+  for (int p = 0; p < W; ++p) {
+    const LineWalk lw =
+        line_walk(zone, dir, inner0 + std::min(p, count - 1), outer);
+    lines.q[p] = zone.storage().data() + lw.base;
+    lines.r[p] = rhs.data() + lw.base;
+    lines.step = lw.step;
   }
-
-  // Five lane-batched tridiagonal solves: the coefficient build is the
-  // same flux-split operator as solve_pencil, written straight into lane
-  // layout (element i of pencil p at i*W + p); tail lanes replicate the
-  // last real pencil so the kernel always runs well-conditioned full-width
-  // batches. Only the Thomas elimination itself runs through simd packs.
-  for (int m = 0; m < kNumVars; ++m) {
-    for (int i = 0; i < n; ++i) {
-      const std::size_t row = static_cast<std::size_t>(i) * W;
-      const int im = (i > 0) ? i - 1 : -1;
-      const int ip = (i < n - 1) ? i + 1 : -1;
-      for (int p = 0; p < count; ++p) {
-        const double* lam_p = &ws.lam[static_cast<std::size_t>(p) * n5];
-        const double lam_0 = lam_p[5 * i + m];
-        const double sr =
-            std::max(std::abs(lam_p[5 * i + 0]), std::abs(lam_p[5 * i + 4]));
-        const double eps = kappa_i * dt * inv_h * sr;
-        double av = 0.0, cv = 0.0;
-        const double bv = 1.0 + hu * std::abs(lam_0) + 2.0 * eps;
-        if (im >= 0) av = -hu * std::max(lam_p[5 * im + m], 0.0) - eps;
-        if (ip >= 0) cv = hu * std::min(lam_p[5 * ip + m], 0.0) - eps;
-        ws.a[row + static_cast<std::size_t>(p)] = av;
-        ws.b[row + static_cast<std::size_t>(p)] = bv;
-        ws.c[row + static_cast<std::size_t>(p)] = cv;
-      }
-      for (int p = count; p < W; ++p) {
-        ws.a[row + static_cast<std::size_t>(p)] = ws.a[row + count - 1];
-        ws.b[row + static_cast<std::size_t>(p)] = ws.b[row + count - 1];
-        ws.c[row + static_cast<std::size_t>(p)] = ws.c[row + count - 1];
-      }
-    }
-    // d: transpose variable m of every pencil's characteristic vector into
-    // lanes (stride 5 within a pencil), solve, transpose back.
-    const double* wsrc[W];
-    double* wdst[W];
-    for (int p = 0; p < count; ++p) {
-      wsrc[p] = &ws.w[static_cast<std::size_t>(p) * n5 + m];
-      wdst[p] = &ws.w[static_cast<std::size_t>(p) * n5 + m];
-    }
-    simd::interleave<W>(wsrc, count, n, ws.d.data(), 5);
-    solve_tridiagonal_lanes(ws.a.data(), ws.b.data(), ws.c.data(),
-                            ws.d.data(), n);
-    simd::deinterleave<W>(ws.d.data(), count, n, wdst, 5);
+  lines.n = n;
+  lines.count = count;
+  for (int k = 0; k < 3; ++k) lines.mom[k] = 1 + (dir + k) % 3;
+  lines.gamma = kGamma;
+  lines.hu = dt * inv_h;
+  lines.eps_scale = kappa_i * dt * inv_h;
+  const detail::BatchScratch scratch{ws.state.data(), ws.w.data(),
+                                     ws.a.data(), ws.b.data(), ws.c.data()};
+#if defined(LLP_F3D_HAVE_AVX2_TU)
+  if (simd::runtime_has_avx2()) {
+    detail::solve_pencil_batch_avx2(lines, scratch);
+    return;
   }
-
-  // Project back and scatter each real pencil (padding lanes discarded).
-  for (int p = 0; p < count; ++p) {
-    const std::size_t off = static_cast<std::size_t>(p) * n5;
-    for (int i = 0; i < n; ++i) {
-      const std::size_t ii = static_cast<std::size_t>(i);
-      double out[kNumVars];
-      apply_right(dir, &ws.q[off + 5 * ii], &ws.w[off + 5 * ii], out);
-      double* rp = rline[p] + ii * step;
-      for (int m = 0; m < kNumVars; ++m) rp[m] = out[m];
-    }
-  }
+#endif
+  detail::solve_pencil_batch_t<simd::pack<double, W, simd::arch::Scalar>>(
+      lines, scratch);
 }
 
 }  // namespace f3d

@@ -54,25 +54,24 @@ void solve_pencil(const Zone& zone, int dir, int t0, int t1, double dt,
                   PencilWorkspace& ws, bool periodic = false);
 
 /// Workspace for one W-pencil batch of the SIMD engine (W =
-/// kTridiagLaneWidth, fixed in tridiag.hpp): per-pencil gathered state in
-/// the same 5-vars-fastest layout PencilWorkspace uses (pencil p at offset
-/// p * 5*N), plus the lane-interleaved tridiagonal coefficient arrays the
-/// batched Thomas kernel consumes (element i of lane p at i*W + p). Still
-/// O(N) and lane-private — the cache story of the pencil organization is
+/// kTridiagLaneWidth, fixed in tridiag.hpp), every array in lane layout
+/// (element i of pencil p at i*W + p): each cell's cached local state
+/// (un, ut1, ut2, c, H), the characteristic variables variable-major (one
+/// contiguous n*W slice per variable, solved in place), and the
+/// tridiagonal coefficients of the variable being solved. Still O(N) and
+/// lane-private — the cache story of the pencil organization is
 /// unchanged, the batch just fills vector lanes.
 struct SimdBatchWorkspace {
-  llp::AlignedVector<double> q;    // W * 5N gathered state
-  llp::AlignedVector<double> r;    // W * 5N gathered rhs / result
-  llp::AlignedVector<double> w;    // W * 5N characteristic variables
-  llp::AlignedVector<double> lam;  // W * 5N eigenvalues
-  llp::AlignedVector<double> a, b, c, d;  // N * W lane-interleaved
+  llp::AlignedVector<double> state;  // 5N * W cached un, ut1, ut2, c, H
+  llp::AlignedVector<double> w;      // 5N * W rhs / characteristic vars
+  llp::AlignedVector<double> a, b, c;  // N * W
 
   void ensure(int n);
   int capacity = 0;
 
   std::size_t bytes() const noexcept {
-    return sizeof(double) * (q.size() + r.size() + w.size() + lam.size() +
-                             a.size() + b.size() + c.size() + d.size());
+    return sizeof(double) *
+           (state.size() + w.size() + a.size() + b.size() + c.size());
   }
 };
 
@@ -80,11 +79,13 @@ struct SimdBatchWorkspace {
 /// lines at transverse inner indices inner0 .. inner0+count-1, fixed outer
 /// index `outer`, in sweep_shape's (outer, inner) task coordinates).
 /// count must be in [1, kTridiagLaneWidth]; a tail batch with count < W
-/// replicates the last real pencil into the padding lanes (simd::batch
-/// policy) and never scatters them back. Identical arithmetic to count
-/// separate solve_pencil calls except inside the Thomas elimination, where
-/// the lane kernel's fused multiply-adds round once instead of twice.
-/// Non-periodic lines only — cyclic systems don't lane-batch (the
+/// replicates the last real pencil into the padding lanes and never
+/// scatters them back. The whole batch — gather, projections, coefficient
+/// build, Thomas and scatter — runs in SIMD lanes (sweep_batch.hpp), on
+/// the AVX2 kernel when the host has it. Identical arithmetic to count
+/// separate solve_pencil calls except inside the Thomas elimination,
+/// where the lane kernel's fused multiply-adds round once instead of
+/// twice. Non-periodic lines only — cyclic systems don't lane-batch (the
 /// Sherman–Morrison correction couples whole-line solves); callers fall
 /// back to solve_pencil per line, exactly as the plane-buffer engine does.
 void solve_pencil_batch(const Zone& zone, int dir, int outer, int inner0,

@@ -16,9 +16,9 @@
 // the one-definition rule: pack<double,4,arch::Avx2> and
 // pack<double,4,arch::Scalar> are distinct types with distinct symbols.
 //
-// Rounding contract: lane-wise +, -, *, /, min, max, abs and blends are
-// IEEE-754 operations identical to their scalar counterparts on every
-// implementation. fma()/fnma() are the documented exception — the AVX2
+// Rounding contract: lane-wise +, -, *, /, sqrt, min, max, abs, negation
+// and blends are IEEE-754 operations identical to their scalar
+// counterparts on every implementation. fma()/fnma() are the documented exception — the AVX2
 // implementation uses true fused multiply-adds (one rounding), while the
 // scalar reference rounds the product and the sum separately. Kernels that
 // use fma() therefore match their scalar references to a relative error of
@@ -107,6 +107,17 @@ struct pack {
   friend pack operator/(pack a, pack b) {
     pack r;
     for (int i = 0; i < W; ++i) r.lane[i] = a.lane[i] / b.lane[i];
+    return r;
+  }
+  /// Exact negation (sign flip), so -0.0 and +0.0 trade places as -x does.
+  friend pack operator-(pack a) {
+    pack r;
+    for (int i = 0; i < W; ++i) r.lane[i] = -a.lane[i];
+    return r;
+  }
+  static pack sqrt(pack a) {
+    pack r;
+    for (int i = 0; i < W; ++i) r.lane[i] = std::sqrt(a.lane[i]);
     return r;
   }
 
@@ -212,6 +223,10 @@ struct pack<double, 4, arch::Avx2> {
   friend pack operator-(pack a, pack b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend pack operator*(pack a, pack b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend pack operator/(pack a, pack b) { return {_mm256_div_pd(a.v, b.v)}; }
+  friend pack operator-(pack a) {
+    return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))};
+  }
+  static pack sqrt(pack a) { return {_mm256_sqrt_pd(a.v)}; }
 
   static pack fma(pack a, pack b, pack c) {
     return {_mm256_fmadd_pd(a.v, b.v, c.v)};

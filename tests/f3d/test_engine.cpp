@@ -210,6 +210,31 @@ TEST(EngineSelect, PicksARegisteredEngineAndPersistsIt) {
   std::filesystem::remove(path);
 }
 
+TEST(EngineSelect, ZoneShapeKeysTheDecision) {
+  llp::Runtime rt(1);
+  llp::RuntimeScope scope(rt);
+  // Equal point counts (864), different J line lengths: one engine
+  // decision must not be reused for the other zone shape.
+  f3d::CaseSpec short_j = f3d::wall_compression_case(8);
+  short_j.zones = {f3d::ZoneDims{8, 12, 9}};
+  f3d::CaseSpec long_j = short_j;
+  long_j.zones = {f3d::ZoneDims{12, 8, 9}};
+  auto grid_a = f3d::build_grid(short_j);
+  auto grid_b = f3d::build_grid(long_j);
+  ASSERT_EQ(grid_a.zone(0).interior_points(),
+            grid_b.zone(0).interior_points());
+  f3d::SolverConfig cfg;
+  cfg.freestream = short_j.freestream;
+  cfg.region_prefix = "engsel.shape";
+
+  llp::tune::Tuner tuner;
+  EXPECT_FALSE(f3d::select_engine(grid_a, cfg, &tuner, 1).from_db);
+  EXPECT_FALSE(f3d::select_engine(grid_b, cfg, &tuner, 1).from_db);
+  // Each shape then hits its own entry.
+  EXPECT_TRUE(f3d::select_engine(grid_a, cfg, &tuner, 1).from_db);
+  EXPECT_TRUE(f3d::select_engine(grid_b, cfg, &tuner, 1).from_db);
+}
+
 TEST(EngineSelect, RunsWithoutATuner) {
   llp::Runtime rt(1);
   llp::RuntimeScope scope(rt);

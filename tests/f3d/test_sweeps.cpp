@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "core/llp.hpp"
+#include "f3d/eigen.hpp"
 #include "f3d/rhs.hpp"
+#include "f3d/solver.hpp"
+#include "f3d/tridiag.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -224,6 +231,240 @@ TEST(Sweeps, PeriodicSweepCouplesAcrossTheSeam) {
   const double uncoupled = run_dir0(false);
   EXPECT_GT(std::abs(coupled), 1e-8);
   EXPECT_LT(std::abs(uncoupled), std::abs(coupled) * 0.5);
+}
+
+// ---- the lane-vectorized batch against the per-pencil batch -------------
+
+// The SIMD batch as it was before it ran in lanes end to end, kept as the
+// oracle: gather each pencil, eigenvalues/apply_left per point, build the
+// flux-split coefficients per lane, transpose variable m into lanes, solve
+// with solve_tridiagonal_lanes, transpose back, apply_right and scatter.
+// Tail lanes replicate pencil count-1 and are never scattered.
+template <int W>
+void interleave(const double* const* srcs, int count, int n, double* out,
+                int src_stride) {
+  for (int i = 0; i < n; ++i) {
+    double* row = out + static_cast<std::size_t>(i) * W;
+    for (int p = 0; p < count; ++p) {
+      row[p] = srcs[p][static_cast<std::size_t>(i) * src_stride];
+    }
+    for (int p = count; p < W; ++p) row[p] = row[count - 1];
+  }
+}
+
+template <int W>
+void deinterleave(const double* in, int count, int n, double* const* dsts,
+                  int dst_stride) {
+  for (int i = 0; i < n; ++i) {
+    const double* row = in + static_cast<std::size_t>(i) * W;
+    for (int p = 0; p < count; ++p) {
+      dsts[p][static_cast<std::size_t>(i) * dst_stride] = row[p];
+    }
+  }
+}
+
+void reference_batch(const Zone& zone, int dir, int outer, int inner0,
+                     int count, double dt, double kappa_i,
+                     llp::Array4D<double>& rhs) {
+  constexpr int W = f3d::kTridiagLaneWidth;
+  const int n = f3d::sweep_shape(zone, dir).line_n;
+  const std::size_t n5 = 5 * static_cast<std::size_t>(n);
+  const double h[3] = {zone.dx(), zone.dy(), zone.dz()};
+  const double inv_h = 1.0 / h[dir];
+  const double hu = dt * inv_h;
+  const int ng = Zone::kGhost;
+  const llp::Array4D<double>& qarr = zone.storage();
+  std::vector<double> q(W * n5), w(W * n5), lam(W * n5);
+  std::vector<double> a(n * W), b(n * W), c(n * W), d(n * W);
+
+  double* rline[W] = {};
+  std::size_t step = 0;
+  for (int p = 0; p < count; ++p) {
+    const int t0 = inner0 + p, t1 = outer;
+    int j0, k0, l0;
+    switch (dir) {
+      case 0: j0 = 0; k0 = t0; l0 = t1; break;
+      case 1: j0 = t0; k0 = 0; l0 = t1; break;
+      default: j0 = t0; k0 = t1; l0 = 0; break;
+    }
+    const std::size_t base = qarr.index(0, j0 + ng, k0 + ng, l0 + ng);
+    step = qarr.index(0, j0 + ng + (dir == 0), k0 + ng + (dir == 1),
+                      l0 + ng + (dir == 2)) -
+           base;
+    rline[p] = rhs.data() + base;
+    const std::size_t off = static_cast<std::size_t>(p) * n5;
+    for (int i = 0; i < n; ++i) {
+      const std::size_t ii = static_cast<std::size_t>(i);
+      double r[f3d::kNumVars];
+      for (int m = 0; m < f3d::kNumVars; ++m) {
+        q[off + 5 * ii + m] = qarr.data()[base + ii * step + m];
+        r[m] = rline[p][ii * step + m];
+      }
+      f3d::eigenvalues(dir, &q[off + 5 * ii], &lam[off + 5 * ii]);
+      f3d::apply_left(dir, &q[off + 5 * ii], r, &w[off + 5 * ii]);
+    }
+  }
+
+  for (int m = 0; m < f3d::kNumVars; ++m) {
+    for (int i = 0; i < n; ++i) {
+      const std::size_t row = static_cast<std::size_t>(i) * W;
+      for (int p = 0; p < count; ++p) {
+        const double* lp = &lam[static_cast<std::size_t>(p) * n5];
+        const double sr =
+            std::max(std::abs(lp[5 * i + 0]), std::abs(lp[5 * i + 4]));
+        const double eps = kappa_i * dt * inv_h * sr;
+        double av = 0.0, cv = 0.0;
+        const double bv = 1.0 + hu * std::abs(lp[5 * i + m]) + 2.0 * eps;
+        if (i > 0) av = -hu * std::max(lp[5 * (i - 1) + m], 0.0) - eps;
+        if (i < n - 1) cv = hu * std::min(lp[5 * (i + 1) + m], 0.0) - eps;
+        a[row + p] = av;
+        b[row + p] = bv;
+        c[row + p] = cv;
+      }
+      for (int p = count; p < W; ++p) {
+        a[row + p] = a[row + count - 1];
+        b[row + p] = b[row + count - 1];
+        c[row + p] = c[row + count - 1];
+      }
+    }
+    double* wm[W];
+    for (int p = 0; p < count; ++p) {
+      wm[p] = &w[static_cast<std::size_t>(p) * n5 + m];
+    }
+    interleave<W>(wm, count, n, d.data(), 5);
+    f3d::solve_tridiagonal_lanes(a.data(), b.data(), c.data(), d.data(), n);
+    deinterleave<W>(d.data(), count, n, wm, 5);
+  }
+
+  for (int p = 0; p < count; ++p) {
+    const std::size_t off = static_cast<std::size_t>(p) * n5;
+    for (int i = 0; i < n; ++i) {
+      const std::size_t ii = static_cast<std::size_t>(i);
+      f3d::apply_right(dir, &q[off + 5 * ii], &w[off + 5 * ii],
+                       rline[p] + ii * step);
+    }
+  }
+}
+
+// Free stream at Mach 1.6 with every cell, ghosts included, perturbed;
+// about one in eight cells gets a shock-sized jump, so eigenvalues change
+// sign along lines and both sides of every min/max clamp are taken.
+void perturb(Zone& z, std::uint64_t seed) {
+  f3d::FreeStream fs;
+  fs.mach = 1.6;
+  fs.alpha_deg = 4.0;
+  fs.beta_deg = -3.0;
+  z.set_freestream(fs);
+  llp::SplitMix64 rng(seed);
+  const int ng = Zone::kGhost;
+  for (int l = -ng; l < z.lmax() + ng; ++l)
+    for (int k = -ng; k < z.kmax() + ng; ++k)
+      for (int j = -ng; j < z.jmax() + ng; ++j) {
+        const double amp = rng.below(8) == 0 ? 0.6 : 0.05;
+        f3d::Prim s = f3d::to_prim(z.q_point(j, k, l));
+        s.rho *= 1.0 + amp * rng.uniform(-1.0, 1.0);
+        s.u += 2.0 * amp * rng.uniform(-1.0, 1.0);
+        s.v += 2.0 * amp * rng.uniform(-1.0, 1.0);
+        s.w += 2.0 * amp * rng.uniform(-1.0, 1.0);
+        s.p *= 1.0 + amp * rng.uniform(-1.0, 1.0);
+        f3d::to_conservative(s, z.q_point(j, k, l));
+      }
+}
+
+llp::Array4D<double> random_work(const Zone& z, std::uint64_t seed) {
+  auto rhs = make_work(z);
+  llp::SplitMix64 rng(seed);
+  for (std::size_t i = 0; i < rhs.size(); ++i) {
+    rhs.data()[i] = rng.uniform(-0.1, 0.1);
+  }
+  return rhs;
+}
+
+struct BatchCase {
+  f3d::ZoneDims dims;
+  double dx, dy, dz;
+};
+
+// Largest first, so one workspace is also exercised grown past the line
+// length it serves. Transverse extents of 5, 6, 7 and 9 leave tail batches
+// of every count.
+const BatchCase kBatchCases[] = {
+    {{13, 9, 7}, 0.1, 0.1, 0.1},
+    {{f3d::kMinZoneDim, f3d::kMinZoneDim, f3d::kMinZoneDim}, 0.1, 0.1, 0.1},
+    {{9, 6, 5}, 0.1, 0.037, 0.23},
+    {{5, 7, f3d::kMinZoneDim}, 0.29, 0.05, 0.011},
+    {{1, 6, 5}, 0.1, 0.1, 0.1},
+};
+
+int rhs_mismatch(const llp::Array4D<double>& a,
+                 const llp::Array4D<double>& b) {
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(double));
+}
+
+TEST(SimdBatch, LaneKernelIsBitwiseTheReferenceBatch) {
+  f3d::SimdBatchWorkspace ws;
+  std::uint64_t seed = 1;
+  for (const BatchCase& bc : kBatchCases) {
+    Zone z(bc.dims, bc.dx, bc.dy, bc.dz);
+    perturb(z, seed++);
+    for (int dir = 0; dir < 3; ++dir) {
+      const f3d::SweepShape shape = f3d::sweep_shape(z, dir);
+      for (const double kappa_i : {0.0, 0.35}) {
+        auto got = random_work(z, seed++);
+        auto want = got;
+        for (int outer = 0; outer < shape.outer_n; ++outer) {
+          for (int inner = 0; inner < shape.inner_n;
+               inner += f3d::kTridiagLaneWidth) {
+            const int count =
+                std::min(f3d::kTridiagLaneWidth, shape.inner_n - inner);
+            f3d::solve_pencil_batch(z, dir, outer, inner, count, 0.05,
+                                    kappa_i, got, ws);
+            reference_batch(z, dir, outer, inner, count, 0.05, kappa_i,
+                            want);
+          }
+        }
+        EXPECT_EQ(rhs_mismatch(got, want), 0)
+            << bc.dims.jmax << "x" << bc.dims.kmax << "x" << bc.dims.lmax
+            << " dir=" << dir << " kappa_i=" << kappa_i << " kernel "
+            << f3d::tridiag_lanes_kernel();
+      }
+    }
+  }
+}
+
+TEST(SimdBatch, EveryCountAndTailTouchesOnlyItsOwnLines) {
+  // One batch at a time, so a padding lane that leaked into the array (or
+  // a real lane that was dropped) shows up against the untouched rest.
+  Zone z({7, 9, 6}, 0.11, 0.07, 0.13);
+  perturb(z, 77);
+  f3d::SimdBatchWorkspace ws;
+  for (int dir = 0; dir < 3; ++dir) {
+    const f3d::SweepShape shape = f3d::sweep_shape(z, dir);
+    for (int count = 1; count <= f3d::kTridiagLaneWidth; ++count) {
+      for (const int inner0 : {0, 1, shape.inner_n - count}) {
+        const auto before = random_work(z, 1000 + count);
+        auto got = before;
+        auto want = before;
+        const int outer = shape.outer_n / 2;
+        f3d::solve_pencil_batch(z, dir, outer, inner0, count, 0.08, 0.25,
+                                got, ws);
+        reference_batch(z, dir, outer, inner0, count, 0.08, 0.25, want);
+        EXPECT_EQ(rhs_mismatch(got, want), 0)
+            << "dir=" << dir << " count=" << count << " inner0=" << inner0;
+        EXPECT_NE(rhs_mismatch(got, before), 0);
+      }
+    }
+  }
+}
+
+TEST(SimdBatch, WorkspaceIsThirteenLaneArraysPerPoint) {
+  f3d::SimdBatchWorkspace ws;
+  ws.ensure(10);
+  EXPECT_EQ(ws.capacity, 10);
+  EXPECT_EQ(ws.bytes(),
+            13u * 10u * f3d::kTridiagLaneWidth * sizeof(double));
+  ws.ensure(4);  // no shrink
+  EXPECT_EQ(ws.capacity, 10);
 }
 
 }  // namespace

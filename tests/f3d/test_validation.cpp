@@ -6,6 +6,7 @@
 
 #include "f3d/cases.hpp"
 #include "f3d/solver.hpp"
+#include "f3d/tridiag.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -120,9 +121,10 @@ TEST(ResidualDecreasing, NeedsEnoughSteps) {
 
 // Solutions pinned to the bit. The risc and vector engines' arithmetic is
 // plain IEEE double with no fused multiply-add, so the x86-64-v3 build and
-// the forced-scalar simd build must reproduce these digests exactly (the
-// simd engine is left out: its lane kernel fuses by design). The pins are
-// the `solution checksum:` line of
+// the forced-scalar simd build must reproduce these digests exactly. The
+// simd engine fuses inside its lane Thomas kernel only, so it is pinned per
+// kernel: the avx2 digest is its own, the generic kernel rounds twice and
+// lands on the risc digest. The pins are the `solution checksum:` line of
 //   f3d_run --case 1m --scale 0.3 --steps 5 --pulse 0.1 --engine E
 //   f3d_run --case cube --n 12 --steps 10 --wall --pulse 0.05
 //           --viscous 1000 --engine E
@@ -152,6 +154,13 @@ TEST(Checksum, PinnedAcrossInstructionSets) {
                          10, engine),
               0x81f027173537b052ULL);
   }
+  const std::uint64_t simd_pin = f3d::tridiag_lanes_kernel() == "avx2"
+                                     ? 0x7beb30a1e117785aULL
+                                     : 0x530d455d0fff105fULL;
+  EXPECT_EQ(pinned_run(f3d::paper_1m_case(0.3), false, 0.1, 0.0, 5,
+                       f3d::EngineKind::kPencilSimd),
+            simd_pin)
+      << "lanes kernel " << f3d::tridiag_lanes_kernel();
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "simd/detect.hpp"
@@ -76,6 +79,36 @@ TYPED_TEST(PackOps, MinMaxAbsMatchScalar) {
     EXPECT_EQ(mn[i], std::min(x, y)) << i;
     EXPECT_EQ(mx[i], std::max(x, y)) << i;
     EXPECT_EQ(ab[i], std::abs(x)) << i;
+  }
+}
+
+// EXPECT_EQ on doubles calls -0.0 and +0.0 equal; compare bit patterns.
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TYPED_TEST(PackOps, SqrtAndNegationMatchScalarBitwise) {
+  constexpr int w = TypeParam::width;
+  using lim = std::numeric_limits<double>;
+  const double xs[] = {0.0,           -0.0,          lim::denorm_min(),
+                       -lim::denorm_min(), 3.5e-310, -3.5e-310,
+                       lim::min(),    lim::infinity(), -lim::infinity(),
+                       2.0,           0.1,           1.7e308,
+                       -7.25};
+  constexpr int k = sizeof(xs) / sizeof(xs[0]);
+  for (int start = 0; start < k; start += w) {
+    double buf[w];
+    for (int i = 0; i < w; ++i) buf[i] = xs[(start + i) % k];
+    const TypeParam x = TypeParam::load(buf);
+    const TypeParam neg = -x;
+    const TypeParam root = TypeParam::sqrt(x);
+    for (int i = 0; i < w; ++i) {
+      EXPECT_EQ(bits(neg[i]), bits(-buf[i])) << buf[i];
+      const double want = std::sqrt(buf[i]);
+      if (std::isnan(want)) {
+        EXPECT_TRUE(std::isnan(root[i])) << buf[i];
+      } else {
+        EXPECT_EQ(bits(root[i]), bits(want)) << buf[i];
+      }
+    }
   }
 }
 
@@ -153,6 +186,10 @@ TEST(PackArch, AutoAgreesWithScalarOnPlainOps) {
   for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], want[i]) << "* lane " << i;
   (a1 / a2).store(got), (r1 / r2).store(want);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], want[i]) << "/ lane " << i;
+  Auto::sqrt(a2 * a2).store(got), Ref::sqrt(r2 * r2).store(want);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], want[i]) << "sqrt lane " << i;
+  (-a1).store(got), (-r1).store(want);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(got[i], want[i]) << "neg lane " << i;
   EXPECT_EQ((a1 + a2).sum(), (r1 + r2).sum());
 }
 
